@@ -73,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject the fault plan (churn/link faults/partitions/crashes) "
         "loaded from this JSON file",
     )
-    run.add_argument(
-        "--queue-backend", default=None, choices=("heap", "calendar"),
-        help="event-queue backend (identical results either way; calendar "
-        "is faster at mainnet queue depth; default: REPRO_QUEUE_BACKEND "
-        "env var, then heap)",
-    )
 
     sweep = sub.add_parser(
         "sweep", help="run a multi-seed campaign fleet in parallel"
@@ -193,11 +187,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out is not None:
         config = replace(
             config, scenario=replace(config.scenario, trace=True)
-        )
-    if args.queue_backend is not None:
-        config = replace(
-            config,
-            scenario=replace(config.scenario, queue_backend=args.queue_backend),
         )
     if args.faults is not None:
         config = replace(config, faults=FaultPlan.load(args.faults))

@@ -15,10 +15,9 @@ the hot code itself was written to (PR 1/PR 7 profiling):
   API (``send_many``/``send_each``) prices the whole fan-out in one
   vectorized draw;
 * PERF004 — no direct ``heapq`` imports outside ``repro.sim``: event
-  ordering is the queue backends' contract (heap vs calendar, selected
-  at run time), and a hand-rolled heap elsewhere silently bypasses both
-  the backend selector and the ``(time, priority, sequence)``
-  tie-ordering argument.
+  ordering is the contract of the one :class:`EventQueue`, and a
+  hand-rolled heap elsewhere silently bypasses its ``(time, priority,
+  sequence)`` tie-ordering argument.
 
 The registry of hot entry points lives in :data:`HOT_ENTRIES`; mark
 additional entry points with a ``# repro: hotpath`` comment on (or
@@ -160,26 +159,25 @@ class HotScalarSendRule(_HotSiteRule):
         return list(project.graph.facts[qualname].scalar_sends_in_loop)
 
 
-#: The one layer allowed to touch ``heapq`` directly: the queue backends
-#: themselves (and the engine loop that inlines them).
+#: The one layer allowed to touch ``heapq`` directly: the event queue
+#: itself (and the engine loop that inlines its pops).
 _QUEUE_LAYER = "repro/sim/"
 
 
 @register
 class DirectHeapqImportRule(Rule):
-    """PERF004 — priority-queue access goes through the queue backends."""
+    """PERF004 — priority-queue access goes through the EventQueue."""
 
     rule_id = "PERF004"
     title = "direct heapq import outside repro.sim"
     invariant = (
-        "event ordering lives in the repro.sim queue backends "
-        "(EventQueue/CalendarQueue behind the backend selector); no "
-        "other layer hand-rolls a heap, so the (time, priority, "
-        "sequence) tie-ordering contract has exactly one home"
+        "event ordering lives in repro.sim's one EventQueue; no other "
+        "layer hand-rolls a heap, so the (time, priority, sequence) "
+        "tie-ordering contract has exactly one home"
     )
     suggestion = (
-        "schedule through Simulator/EventQueue (or CalendarQueue) "
-        "instead; for non-event priority work justify the import with "
+        "schedule through Simulator/EventQueue instead; for non-event "
+        "priority work justify the import with "
         "`# repro: noqa[PERF004] <why>`"
     )
 
@@ -194,7 +192,7 @@ class DirectHeapqImportRule(Rule):
                             module,
                             node,
                             "direct `import heapq` outside repro.sim — "
-                            "event ordering belongs to the queue backends",
+                            "event ordering belongs to the EventQueue",
                         )
                         break
             elif isinstance(node, ast.ImportFrom):
@@ -203,5 +201,5 @@ class DirectHeapqImportRule(Rule):
                         module,
                         node,
                         "direct `from heapq import ...` outside repro.sim — "
-                        "event ordering belongs to the queue backends",
+                        "event ordering belongs to the EventQueue",
                     )

@@ -138,8 +138,6 @@ class TraceRecorder:
         "_queue_pushed",
         "_queue_cancelled",
         "_queue_compactions",
-        "_queue_resizes",
-        "_queue_buckets",
     )
 
     def __init__(self) -> None:
@@ -267,36 +265,27 @@ class TraceRecorder:
             "faults_link_faults_total",
             help="Per-message link faults, by fault kind.",
         )
-        # Event-queue backend counters, sampled (not incremented) from
+        # Event-queue counters, sampled (not incremented) from
         # ``Simulator.queue_stats()`` at every metrics snapshot — gauges,
         # because the queue owns the authoritative counters and the
-        # recorder only mirrors them.  All labeled by backend so a heap
-        # and a calendar run are comparable series-by-series.
+        # recorder only mirrors them.
         self._queue_depth = reg.gauge(
             "sim_queue_depth",
-            help="Event-queue entries (cancelled corpses included), by backend.",
+            help="Event-queue entries (cancelled corpses included).",
         )
         self._queue_live = reg.gauge(
-            "sim_queue_live", help="Live scheduled events, by backend."
+            "sim_queue_live", help="Live scheduled events."
         )
         self._queue_pushed = reg.gauge(
-            "sim_queue_pushed_total", help="Events ever pushed, by backend."
+            "sim_queue_pushed_total", help="Events ever pushed."
         )
         self._queue_cancelled = reg.gauge(
             "sim_queue_cancelled_pending",
-            help="Cancelled entries awaiting lazy removal, by backend.",
+            help="Cancelled entries awaiting lazy removal.",
         )
         self._queue_compactions = reg.gauge(
             "sim_queue_compactions_total",
-            help="Corpse-compaction passes run, by backend.",
-        )
-        self._queue_resizes = reg.gauge(
-            "sim_queue_resizes_total",
-            help="Bucket-table resizes (calendar backend only).",
-        )
-        self._queue_buckets = reg.gauge(
-            "sim_queue_buckets",
-            help="Bucket-table size (calendar backend only).",
+            help="Corpse-compaction passes run.",
         )
 
     # ----------------------------------------------------------------- #
@@ -694,25 +683,21 @@ class TraceRecorder:
         if len(store.rows) >= store.limit:
             self._seal(LinkFault, store)
 
-    def set_queue_stats(self, backend: str, stats: Mapping[str, float]) -> None:
+    def set_queue_stats(self, stats: Mapping[str, float]) -> None:
         """Mirror the event queue's counters into the registry.
 
         Called by the metrics snapshotter just before each sample, with
         the output of ``Simulator.queue_stats()``.  Pure setter — draws
         no randomness and schedules nothing, so it is trace-hook safe
-        (OBS101/OBS102).  Calendar-only keys arrive as zeros from the
-        heap backend and are simply mirrored as such.
+        (OBS101/OBS102).
         """
         if not self.enabled:
             return
-        labels = {"backend": backend}
-        self._queue_depth.set(stats["depth"], labels)
-        self._queue_live.set(stats["live"], labels)
-        self._queue_pushed.set(stats["pushed_total"], labels)
-        self._queue_cancelled.set(stats["cancelled_pending"], labels)
-        self._queue_compactions.set(stats["compactions_total"], labels)
-        self._queue_resizes.set(stats["resizes_total"], labels)
-        self._queue_buckets.set(stats["buckets"], labels)
+        self._queue_depth.set(stats["depth"])
+        self._queue_live.set(stats["live"])
+        self._queue_pushed.set(stats["pushed_total"])
+        self._queue_cancelled.set(stats["cancelled_pending"])
+        self._queue_compactions.set(stats["compactions_total"])
 
     def snapshot_metrics(self, time: float) -> Optional[MetricsSample]:
         """Sync the registry, record a :class:`MetricsSample` at ``time``.

@@ -44,7 +44,5 @@ class MetricsSnapshotter:
 
     def _sample(self) -> None:
         simulator = self.simulator
-        simulator.trace.set_queue_stats(
-            simulator.queue_backend, simulator.queue_stats()
-        )
+        simulator.trace.set_queue_stats(simulator.queue_stats())
         simulator.trace.snapshot_metrics(simulator.now)

@@ -91,9 +91,6 @@ class SimMetrics:
             (empty unless profiled).
         queue_high_water: Deepest event queue seen (``None`` unless
             profiled).
-        queue_backend: Which event-queue implementation ran the loop
-            (``"heap"`` or ``"calendar"``); informational — backends
-            never change outcomes.
     """
 
     events_processed: int
@@ -104,4 +101,3 @@ class SimMetrics:
     event_counts: Mapping[str, int] = field(default_factory=dict)
     event_seconds: Mapping[str, float] = field(default_factory=dict)
     queue_high_water: Optional[int] = None
-    queue_backend: str = "heap"

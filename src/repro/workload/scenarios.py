@@ -32,7 +32,6 @@ from repro.obs.snapshot import DEFAULT_SNAPSHOT_PERIOD, MetricsSnapshotter
 from repro.p2p.degrees import DegreeDistribution
 from repro.p2p.network import Network
 from repro.sim.engine import Simulator
-from repro.sim.events import resolve_queue_backend
 from repro.workload.mainnet import mainnet_pool_specs
 from repro.workload.transactions import TransactionWorkload, WorkloadConfig
 
@@ -89,13 +88,6 @@ class ScenarioConfig:
             crashes; see :mod:`repro.faults`).  ``None`` — or an
             all-zeros plan — builds no injector at all, so the scenario
             is byte-identical to a fault-free build of the same seed.
-        queue_backend: Event-queue implementation (``"heap"`` or
-            ``"calendar"``).  ``None`` defers to the
-            ``REPRO_QUEUE_BACKEND`` environment variable, then the
-            ``heap`` default.  Backends fire events in the identical
-            order, so this can never change a run's outcome — it is a
-            pure wall-clock knob (the calendar backend wins at mainnet
-            queue depth; see ``repro.sim.calqueue``).
     """
 
     seed: int = 1
@@ -113,11 +105,8 @@ class ScenarioConfig:
     trace: bool = False
     trace_snapshot_period: float = DEFAULT_SNAPSHOT_PERIOD
     faults: Optional[FaultPlan] = None
-    queue_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.queue_backend is not None:
-            resolve_queue_backend(self.queue_backend)  # validate the name early
         if self.n_nodes < 2:
             raise ConfigurationError("a scenario needs at least two regular nodes")
         if self.inter_block_time <= 0:
@@ -226,9 +215,7 @@ def _sample_regions(
 def build_scenario(config: ScenarioConfig | None = None) -> Scenario:
     """Construct (but do not start) a scenario from ``config``."""
     cfg = config or ScenarioConfig()
-    simulator = Simulator(
-        seed=cfg.seed, profile=cfg.profile, queue_backend=cfg.queue_backend
-    )
+    simulator = Simulator(seed=cfg.seed, profile=cfg.profile)
     # Tracing is switched on before any component exists so constructors
     # (node registration, etc.) are captured from the very first event.
     if cfg.trace:

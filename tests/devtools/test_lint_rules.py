@@ -429,7 +429,7 @@ def test_perf004_flags_heapq_import_outside_sim():
         """
     findings = _lint(source, "src/repro/workload/jobs.py")
     assert _rule_ids(findings) == ["PERF004"]
-    assert "queue backends" in findings[0].message
+    assert "EventQueue" in findings[0].message
 
 
 def test_perf004_flags_from_import_and_aliases():
@@ -443,14 +443,14 @@ def test_perf004_flags_from_import_and_aliases():
     assert _rule_ids(findings) == ["PERF004", "PERF004"]
 
 
-def test_perf004_allows_queue_backends_and_justified_uses():
-    backend = """
+def test_perf004_allows_event_queue_and_justified_uses():
+    queue = """
         from heapq import heappop, heappush
 
-        def push(bucket, entry):
-            heappush(bucket, entry)
+        def push(heap, entry):
+            heappush(heap, entry)
         """
-    assert _lint(backend, "src/repro/sim/calqueue.py") == []
+    assert _lint(queue, "src/repro/sim/events.py") == []
     justified = """
         import heapq  # repro: noqa[PERF004] cold-path k-way merge, not event scheduling
 

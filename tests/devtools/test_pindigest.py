@@ -2,51 +2,68 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.devtools.pindigest import (
     EXPECTED_PINS,
+    PIN_SCHEMA,
     build_artifact,
     check_artifact,
     main,
 )
+from repro.experiments.presets import small_campaign
+from repro.measurement.campaign import Campaign
 
 
 def test_small_pin_matches_canonical_value_under_both_backends():
-    for backend in ("heap", "calendar"):
-        artifact = build_artifact(backend, only=["small_seed55"])
-        assert artifact["backend"] == backend
-        assert artifact["pins"]["small_seed55"] == EXPECTED_PINS["small_seed55"]
-        assert check_artifact(artifact) == []
+    """The small pin holds under both loops that drain the event queue.
+
+    The engine has one heap queue and two drain loops: the tight loop
+    (profiling off, what ``build_artifact`` runs) and the profiled loop.
+    Each must reproduce the canonical digest.
+    """
+    artifact = build_artifact(only=["small_seed55"])
+    assert artifact["pins"]["small_seed55"] == EXPECTED_PINS["small_seed55"]
+    assert check_artifact(artifact) == []
+
+    config = small_campaign(seed=55)
+    config = replace(config, scenario=replace(config.scenario, profile=True))
+    campaign = Campaign(config)
+    hashes = campaign.run().chain.canonical_hashes
+    assert campaign.metrics.profiled
+    digest = hashlib.sha256(",".join(hashes).encode()).hexdigest()
+    profiled = {"schema": PIN_SCHEMA, "pins": {"small_seed55": digest}}
+    assert check_artifact(profiled) == []
 
 
 def test_check_reports_divergence():
     artifact = {
-        "schema": 1,
-        "backend": "calendar",
+        "schema": PIN_SCHEMA,
         "pins": {"small_seed55": "0" * 64},
     }
     failures = check_artifact(artifact)
     assert len(failures) == 1
     assert "small_seed55" in failures[0]
-    assert "calendar" in failures[0]
+    assert EXPECTED_PINS["small_seed55"] in failures[0]
 
 
 def test_unknown_pin_rejected():
     with pytest.raises(ValueError):
-        build_artifact("heap", only=["nope"])
+        build_artifact(only=["nope"])
 
 
 def test_cli_writes_artifact_and_gates(tmp_path, capsys):
     out = tmp_path / "pins.json"
-    code = main(
-        ["--backend", "calendar", "--only", "small_seed55", "--out", str(out),
-         "--check"]
-    )
+    code = main(["--only", "small_seed55", "--out", str(out), "--check"])
     assert code == 0
     artifact = json.loads(out.read_text())
-    assert artifact["backend"] == "calendar"
-    assert artifact["pins"] == {"small_seed55": EXPECTED_PINS["small_seed55"]}
+    assert artifact == {
+        "schema": PIN_SCHEMA,
+        "pins": {"small_seed55": EXPECTED_PINS["small_seed55"]},
+    }
+    assert check_artifact(artifact) == []
     assert "match the canonical values" in capsys.readouterr().out

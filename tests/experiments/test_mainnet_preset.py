@@ -77,32 +77,3 @@ def test_mainnet_smoke_canonical_chain_pinned():
         digest
         == "8a86a8f682a43d12b88982a0f64859a1f261e7b24d889c9b05f403ba913e6765"
     )
-
-
-def test_mainnet_smoke_identical_across_queue_backends():
-    """The batched mainnet path drains identically on both queue backends.
-
-    The smoke campaign covers the arity-5 batched gossip entries and the
-    engine's inlined calendar loop; explicit backend overrides keep the
-    comparison meaningful on every CI matrix leg.
-    """
-
-    def run(backend: str):
-        config = _smoke_config(seed=55)
-        return Campaign(
-            replace(
-                config,
-                scenario=replace(config.scenario, queue_backend=backend),
-            )
-        ).run()
-
-    heap, calendar = run("heap"), run("calendar")
-    assert heap.chain.canonical_hashes == calendar.chain.canonical_hashes
-    assert heap.block_messages == calendar.block_messages
-    digest = hashlib.sha256(
-        ",".join(calendar.chain.canonical_hashes).encode()
-    ).hexdigest()
-    assert (
-        digest
-        == "8a86a8f682a43d12b88982a0f64859a1f261e7b24d889c9b05f403ba913e6765"
-    )

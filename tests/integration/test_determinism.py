@@ -104,38 +104,6 @@ def test_tracing_does_not_perturb_the_seed_55_pin():
     assert len(trace.records) > 0
 
 
-def test_queue_backend_does_not_perturb_the_seed_55_pin():
-    """The calendar queue must replay the heap backend bit for bit.
-
-    Backend choice is an implementation detail of the event loop; the
-    ``(time, priority, sequence)`` drain order — and therefore every
-    digest in the repo — must be invariant under it.  Both backends are
-    requested *explicitly* (the config override beats the
-    ``REPRO_QUEUE_BACKEND`` environment), so this comparison is
-    meaningful on every CI matrix leg, whichever backend the leg pins.
-    """
-    import hashlib
-
-    def run(backend: str):
-        config = small_campaign(seed=55)
-        config = replace(
-            config, scenario=replace(config.scenario, queue_backend=backend)
-        )
-        return Campaign(config).run()
-
-    heap, calendar = run("heap"), run("calendar")
-    assert heap.chain.canonical_hashes == calendar.chain.canonical_hashes
-    assert _fingerprint(heap) == _fingerprint(calendar)
-    assert heap.block_messages == calendar.block_messages
-    digest = hashlib.sha256(
-        ",".join(calendar.chain.canonical_hashes).encode()
-    ).hexdigest()
-    assert (
-        digest
-        == "aff2ea94748b9462f59cc134da366767120cfe31d5a30d8cf79bd20909e4c609"
-    )
-
-
 def test_columnar_trace_container_is_byte_identical_for_seed_55(tmp_path):
     """Two traced runs of one seed write the same ``.trace.bin`` bytes.
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+from typing import Any, Optional
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,25 +16,210 @@ from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
 from repro.p2p.gossip import direct_push_count
 from repro.p2p.peer import KnownCache
-from repro.sim.events import EventQueue
+from repro.sim.engine import Simulator
+from repro.sim.events import COMPACT_MIN_HEAP
 from repro.stats.descriptive import Cdf, Summary
 
 
 # ---------------------------------------------------------------------- #
-# Event queue
+# Event engine vs a sorted (time, priority, sequence) reference model
 # ---------------------------------------------------------------------- #
 
+# Few distinct delays and priorities, so time and priority ties are common.
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 7.0])
+_PRIORITIES = st.sampled_from([0, 100, 100, 200])
+# What a handle does when it fires: push a follow-up event, or cancel a
+# majority of the unfired handles — leaving corpses for the run loop to
+# pop before a later push compacts the heap.
+_REACTIONS = st.one_of(
+    st.tuples(st.just("push"), _DELAYS, _PRIORITIES), st.just(("cancel_majority",))
+)
+_SCHEDULE = st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES, _REACTIONS)
+_CANCEL = st.tuples(st.just("cancel"), st.integers(0, 1_000))
+_RAW = st.tuples(st.just("raw"), _DELAYS, _PRIORITIES)
+_BATCH = st.tuples(st.just("batch"), st.lists(_DELAYS, max_size=6), _PRIORITIES)
+_RUN = st.tuples(st.just("run"), _DELAYS)
+_STREAMS = st.one_of(
+    st.lists(st.one_of(_SCHEDULE, _CANCEL, _RAW, _BATCH, _RUN), max_size=60),
+    # Handle-only streams start above COMPACT_MIN_HEAP, so after a majority
+    # cancel inside a callback a later push compacts the heap mid-run().
+    st.tuples(
+        st.lists(
+            _SCHEDULE, min_size=COMPACT_MIN_HEAP + 1, max_size=2 * COMPACT_MIN_HEAP
+        ),
+        st.lists(st.one_of(_SCHEDULE, _CANCEL, _RUN), max_size=40),
+    ).map(lambda parts: parts[0] + parts[1]),
+)
 
-@given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
-def test_event_queue_pops_in_nondecreasing_time_order(times):
-    queue = EventQueue()
-    for time in times:
-        queue.push(time, lambda: None)
-    popped = []
-    while (event := queue.pop()) is not None:
-        popped.append(event.time)
-    assert popped == sorted(popped)
-    assert len(popped) == len(times)
+
+class _Replay:
+    """Applies one op stream and the reactions of the handles it fires.
+
+    Subclasses provide ``now``, ``pending``, ``schedule``, ``cancel``,
+    ``schedule_raw``, ``schedule_batch`` and ``run``.  A fired handle
+    logs the live-event count it sees, so accounting drift shows up
+    inside ``run()``, not only after it.
+    """
+
+    def __init__(self) -> None:
+        self.log: list[Any] = []
+        #: key -> handle, for every scheduled handle not yet fired or cancelled
+        self.unfired: dict[int, Any] = {}
+        self._keys = 0
+
+    def next_key(self) -> int:
+        self._keys += 1
+        return self._keys
+
+    def apply(self, op: tuple) -> None:
+        kind = op[0]
+        if kind == "schedule":
+            self.schedule(self.now + op[1], op[2], op[3])
+        elif kind == "cancel":
+            keys = sorted(self.unfired)
+            if keys:
+                self.cancel(keys[op[1] % len(keys)])
+        elif kind == "raw":
+            self.schedule_raw(self.now + op[1], op[2])
+        elif kind == "batch":
+            self.schedule_batch([self.now + delay for delay in op[1]], op[2])
+        else:
+            self.run(self.now + op[1])
+
+    def fired(self, key: int, reaction: Optional[tuple]) -> None:
+        del self.unfired[key]
+        self.log.append((key, self.pending))
+        if reaction is None:
+            return
+        if reaction[0] == "push":
+            self.schedule(self.now + reaction[1], reaction[2], None)
+        else:
+            for i, victim in enumerate(sorted(self.unfired)):
+                if i % 3:
+                    self.cancel(victim)
+
+
+class _Raw:
+    cancelled = False
+
+    def __init__(self, log: list[Any], key: int) -> None:
+        self.log, self.key = log, key
+
+    def callback(self) -> None:
+        self.log.append(self.key)
+
+
+class _Batch(_Raw):
+    profile_label = "batch"
+
+    def fire(self, index: int) -> None:
+        self.log.append((self.key, index))
+
+
+class _EngineReplay(_Replay):
+    def __init__(self, profiled: bool) -> None:
+        super().__init__()
+        self.sim = Simulator(profile=profiled)
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    @property
+    def pending(self) -> int:
+        return self.sim.pending_events
+
+    def schedule(self, time: float, priority: int, reaction: Optional[tuple]) -> None:
+        key = self.next_key()
+        self.unfired[key] = self.sim.schedule(
+            time, lambda: self.fired(key, reaction), priority
+        )
+
+    def cancel(self, key: int) -> None:
+        self.unfired.pop(key).cancel()
+
+    def schedule_raw(self, time: float, priority: int) -> None:
+        self.sim.schedule_raw(time, _Raw(self.log, self.next_key()), priority)
+
+    def schedule_batch(self, times: list[float], priority: int) -> None:
+        self.sim.schedule_batch(times, _Batch(self.log, self.next_key()), priority)
+
+    def run(self, until: Optional[float]) -> None:
+        self.sim.run(until=until)
+
+
+class _ModelReplay(_Replay):
+    """The reference: a sorted list of ``(time, priority, sequence, payload)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now = 0.0
+        self.entries: list[tuple] = []
+        self.pushed = 0  # also the next sequence number
+
+    @property
+    def pending(self) -> int:
+        return len(self.entries)
+
+    def _push(self, time: float, priority: int, payload: tuple) -> tuple:
+        entry = (time, priority, self.pushed, payload)
+        self.pushed += 1
+        bisect.insort(self.entries, entry)
+        return entry
+
+    def schedule(self, time: float, priority: int, reaction: Optional[tuple]) -> None:
+        key = self.next_key()
+        self.unfired[key] = self._push(time, priority, ("handle", key, reaction))
+
+    def cancel(self, key: int) -> None:
+        self.entries.remove(self.unfired.pop(key))
+
+    def schedule_raw(self, time: float, priority: int) -> None:
+        self._push(time, priority, ("log", self.next_key()))
+
+    def schedule_batch(self, times: list[float], priority: int) -> None:
+        key = self.next_key()
+        for index, time in enumerate(times):
+            self._push(time, priority, ("log", (key, index)))
+
+    def run(self, until: Optional[float]) -> None:
+        while self.entries and (until is None or self.entries[0][0] <= until):
+            time, _, _, payload = self.entries.pop(0)
+            self.now = time
+            if payload[0] == "handle":
+                self.fired(payload[1], payload[2])
+            else:
+                self.log.append(payload[1])
+        if until is not None:
+            self.now = until
+
+
+def _assert_agree(engine: _EngineReplay, model: _ModelReplay) -> None:
+    assert engine.log == model.log
+    assert engine.sim.now == model.now
+    assert engine.sim.events_processed == len(model.log)
+    assert engine.pending == model.pending
+    stats = engine.sim.queue_stats()
+    assert (stats["live"], stats["pushed_total"]) == (model.pending, model.pushed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=_STREAMS, profiled=st.booleans())
+def test_engine_matches_sorted_reference_model(stream, profiled):
+    """The engine fires what a sorted ``(time, priority, sequence)`` list
+    would, and its live-event accounting stays exact — across lazy
+    cancellation, corpses popped by the run loop, and heap compactions
+    triggered by pushes inside callbacks while ``run()`` is draining."""
+    engine, model = _EngineReplay(profiled), _ModelReplay()
+    for op in stream:
+        engine.apply(op)
+        model.apply(op)
+        if op[0] == "run":
+            _assert_agree(engine, model)
+    engine.run(None)
+    model.run(None)
+    _assert_agree(engine, model)
+    assert engine.pending == 0
 
 
 # ---------------------------------------------------------------------- #

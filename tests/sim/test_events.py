@@ -193,6 +193,9 @@ def test_compaction_reclaims_cancelled_majority():
     # The cancelled majority is gone; only live entries remain.
     assert len(queue) == COMPACT_MIN_HEAP + 1
     assert queue.live_count == COMPACT_MIN_HEAP + 1
+    stats = queue.stats()
+    assert stats["compactions_total"] == 1.0
+    assert stats["cancelled_pending"] == 0.0
     # And the survivors still drain in time order.
     times = []
     while (event := queue.pop()) is not None:
@@ -210,33 +213,3 @@ def test_small_heaps_are_never_compacted():
     first.cancel()
     queue.push(3.0, lambda: None)
     assert len(queue) == 3
-
-
-def test_pop_until_compaction_mid_drain_keeps_accounting_exact():
-    """Regression: corpses drained past a mid-drain compaction were
-    double-counted.
-
-    ``pop_until`` used to tally the corpses it crossed and subtract them
-    from ``_cancelled`` after the loop; when the dead fraction crossed
-    one half mid-drain, the compaction reset the counter to zero first,
-    the deferred subtraction drove it negative, and ``pending_events``
-    stayed permanently inflated.  Per-corpse settlement makes the
-    compaction trigger and the accounting agree at every step.
-    """
-    queue = EventQueue()
-    handles = [queue.push(float(i), lambda: None) for i in range(200)]
-    for handle in handles[:150]:
-        handle.cancel()
-    assert queue.pending_events == 50
-    # Every entry at or before the horizon is a corpse; crossing the
-    # first one already makes the dead fraction a majority of a heap
-    # well above COMPACT_MIN_HEAP, so compaction fires mid-drain.
-    drained = queue.pop_until(149.5)
-    assert drained == []
-    stats = queue.stats()
-    assert stats["compactions_total"] == 1.0
-    assert stats["cancelled_pending"] == 0.0
-    assert queue.pending_events == 50
-    rest = queue.pop_until(float("inf"))
-    assert [entry[0] for entry in rest] == [float(i) for i in range(150, 200)]
-    assert queue.pending_events == 0
