@@ -7,7 +7,10 @@ chain snapshot (block + uncle + nephew rewards under the Constantinople
 schedule) and tests two things:
 
 * whether the *lottery* itself was fair — main-chain block counts vs
-  hash-power shares, via a chi-square goodness-of-fit test (scipy);
+  hash-power shares, via a chi-square goodness-of-fit test (scipy,
+  imported only when shares are supplied: the registry's experiment
+  passes none, and importing ``scipy.stats`` cost most of a run's
+  start-up);
 * whether *income* per pool deviates from its block share — the signature
   of uncle-reward harvesting.
 """
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.common import require_chain, window_canonical_blocks
 from repro.chain.rewards import (
@@ -138,6 +140,8 @@ def fairness_audit(
     if hashpower:
         named = [name for name in hashpower if name in block_counts]
         if len(named) >= 2:
+            from scipy import stats
+
             observed = np.array([block_counts[name] for name in named], dtype=float)
             shares = np.array([hashpower[name] for name in named], dtype=float)
             covered = observed.sum()

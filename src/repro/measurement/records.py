@@ -12,7 +12,7 @@ mirroring the paper's released data set.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 
@@ -129,8 +129,14 @@ for _cls in (
 
 
 def record_to_json(record: Any) -> dict[str, Any]:
-    """Serialise a record to a JSON-compatible dict with a type tag."""
-    payload = asdict(record)
+    """Serialise a record to a JSON-compatible dict with a type tag.
+
+    Records are flat frozen dataclasses of scalars and string tuples, so
+    a copy of the instance dict equals :func:`dataclasses.asdict`'s
+    result, field order included, without its recursive deep copy
+    (which was over half of a dataset save).
+    """
+    payload = dict(record.__dict__)
     payload["_type"] = type(record).__name__
     return payload
 

@@ -29,7 +29,6 @@ from repro.p2p.node_id import (
     xor_distance,
 )
 from repro.p2p.peer import MAX_KNOWN_BLOCKS, MAX_KNOWN_TXS, KnownCache, Peer
-from repro.p2p.topology import TopologyReport, analyze_topology, overlay_graph
 
 __all__ = [
     "BUCKET_SIZE",
@@ -51,7 +50,6 @@ __all__ = [
     "NODE_ID_BITS",
     "Peer",
     "StatusMessage",
-    "TopologyReport",
     "TransactionsMessage",
     "bucket_index",
     "direct_push_count",
@@ -60,6 +58,4 @@ __all__ = [
     "sample_targets",
     "split_targets",
     "xor_distance",
-    "analyze_topology",
-    "overlay_graph",
 ]

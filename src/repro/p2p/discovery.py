@@ -30,7 +30,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.p2p.node_id import NODE_ID_BITS, random_node_id
+from repro.p2p.node_id import NODE_ID_BITS, random_node_id, skip_node_ids
 
 #: discv4 bucket size.
 BUCKET_SIZE = 16
@@ -146,12 +146,23 @@ class DiscoveryService:
         overlay geography-blind: each lookup target is uniform over the ID
         space, so the set of dialled peers is a uniform sample of the
         registered population.
+
+        Each attempt draws one random target from ``rng``; a lookup whose
+        nearest ids are all chosen adds no peer.  An exhausted population
+        (every other registered id chosen) ends the lookups but not the
+        draws: the remaining attempts' targets are drawn and discarded in
+        one call, so ``rng`` ends where ``count * 20 + 100`` attempts
+        would leave it and the caller's later draws are unchanged.
         """
         chosen: list[int] = []
         seen: set[int] = {own_id}
+        others = len(self._registered) - (own_id in self._registered)
         attempts = 0
         max_attempts = count * 20 + 100
         while len(chosen) < count and attempts < max_attempts:
+            if len(chosen) == others:
+                skip_node_ids(rng, max_attempts - attempts)
+                break
             attempts += 1
             target = random_node_id(rng)
             for node_id in self.lookup(target, k=BUCKET_SIZE, exclude=own_id):

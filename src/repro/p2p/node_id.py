@@ -13,16 +13,27 @@ import numpy as np
 
 #: Bit length of a node identifier.
 NODE_ID_BITS = 256
+#: 64-bit words per identifier; numpy's integers() caps at 64 bits.
+_ID_WORDS = NODE_ID_BITS // 64
 
 
 def random_node_id(rng: np.random.Generator) -> int:
     """Draw a uniform 256-bit node identifier."""
-    # Compose from four 64-bit words; numpy's integers() caps at 64 bits.
-    words = rng.integers(0, 2**64, size=4, dtype=np.uint64)
+    words = rng.integers(0, 2**64, size=_ID_WORDS, dtype=np.uint64)
     value = 0
     for word in words:
         value = (value << 64) | int(word)
     return value
+
+
+def skip_node_ids(rng: np.random.Generator, count: int) -> None:
+    """Advance ``rng`` exactly as ``count`` :func:`random_node_id` calls do.
+
+    numpy draws a full-range ``uint64`` as one raw word, without
+    rejection, so one draw of ``count`` ids' words consumes the same
+    stream as ``count`` separate calls.
+    """
+    rng.integers(0, 2**64, size=_ID_WORDS * count, dtype=np.uint64)
 
 
 def xor_distance(a: int, b: int) -> int:

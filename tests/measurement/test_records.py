@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.measurement.records import (
@@ -61,3 +64,47 @@ def test_import_record_is_empty_property():
 
 def test_chain_record_is_empty_property():
     assert ChainBlockRecord("0xb", 1, "0xp", "A", 1.0, 1.0, (), ()).is_empty
+
+
+def _asdict_payload(record):
+    """The ``dataclasses.asdict`` serialisation, kept as the reference."""
+    payload = asdict(record)
+    payload["_type"] = type(record).__name__
+    return payload
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
+def test_payload_equals_asdict_reference(record):
+    payload = record_to_json(record)
+    reference = _asdict_payload(record)
+    assert payload == reference
+    # Key order fixes the JSONL bytes.
+    assert json.dumps(payload) == json.dumps(reference)
+
+
+def test_payload_does_not_alias_the_record():
+    record = SAMPLES[1]
+    payload = record_to_json(record)
+    payload["height"] = -1
+    assert record.height == 7
+    assert "_type" not in vars(record)
+
+
+def test_saved_dataset_bytes_equal_asdict_writer(small_dataset, tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    small_dataset.save(path)
+    _header, _, body = path.read_bytes().partition(b"\n")
+    records = [
+        *small_dataset.block_messages,
+        *small_dataset.block_imports,
+        *small_dataset.tx_receptions,
+        *small_dataset.connections,
+        *small_dataset.chain.blocks.values(),
+    ]
+    assert {type(record) for record in records} == {
+        type(sample) for sample in SAMPLES
+    }
+    reference = "".join(
+        json.dumps(_asdict_payload(record)) + "\n" for record in records
+    )
+    assert body == reference.encode("utf-8")

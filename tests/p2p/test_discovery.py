@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.p2p.discovery import DiscoveryService
-from repro.p2p.node_id import xor_distance
+from repro.p2p.discovery import BUCKET_SIZE, DiscoveryService
+from repro.p2p.node_id import random_node_id, xor_distance
 
 
 def _service(count: int) -> tuple[DiscoveryService, list[int]]:
@@ -141,3 +141,69 @@ def test_lookup_tracks_churn():
 def test_lookup_zero_k_is_empty():
     service, _ = _service(4)
     assert service.lookup(2, k=0) == []
+
+
+# --------------------------------------------------------------------- #
+# Exhausted populations: early exit, same peers, same stream
+# --------------------------------------------------------------------- #
+
+
+def _reference_sample_peers(
+    service: DiscoveryService, own_id: int, count: int, rng: np.random.Generator
+) -> list[int]:
+    """The loop without the early exit: every attempt looks up a target."""
+    chosen: list[int] = []
+    seen: set[int] = {own_id}
+    attempts = 0
+    max_attempts = count * 20 + 100
+    while len(chosen) < count and attempts < max_attempts:
+        attempts += 1
+        target = random_node_id(rng)
+        for node_id in service.lookup(target, k=BUCKET_SIZE, exclude=own_id):
+            if node_id not in seen:
+                chosen.append(node_id)
+                seen.add(node_id)
+                break
+    return chosen
+
+
+def _random_service(population: int, seed: int) -> tuple[DiscoveryService, list[int]]:
+    rng = np.random.default_rng(seed)
+    service = DiscoveryService()
+    ids = [random_node_id(rng) for _ in range(population)]
+    for node_id in ids:
+        service.register(node_id, object())
+    return service, ids
+
+
+@pytest.mark.parametrize("own_registered", [True, False], ids=["own-in", "own-out"])
+@pytest.mark.parametrize("count", [3, 13, 120, 500])
+@pytest.mark.parametrize("population", [1, 2, 5, 56, 97, 400])
+def test_sample_peers_matches_reference_loop_and_stream(
+    population, count, own_registered
+):
+    service, ids = _random_service(population, seed=population)
+    own_id = ids[0] if own_registered else random_node_id(np.random.default_rng(7))
+    fast_rng = np.random.default_rng(1000 + count)
+    slow_rng = np.random.default_rng(1000 + count)
+    chosen = service.sample_peers(own_id, count, fast_rng)
+    assert chosen == _reference_sample_peers(service, own_id, count, slow_rng)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_sample_peers_stops_looking_up_an_exhausted_population(monkeypatch):
+    """An unlimited vantage (120 peers wanted) among 56 ids: once the 55
+    others are chosen no lookup can add one, where the full loop ran all
+    ``120 * 20 + 100 = 2500`` attempts."""
+    service, ids = _random_service(56, seed=3)
+    lookup = service.lookup
+    calls = []
+
+    def counting_lookup(*args, **kwargs):
+        calls.append(args)
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(service, "lookup", counting_lookup)
+    chosen = service.sample_peers(ids[0], 120, np.random.default_rng(4))
+    assert sorted(chosen) == sorted(ids[1:])
+    assert len(calls) < 2500 // 10
