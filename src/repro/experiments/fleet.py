@@ -909,14 +909,15 @@ class CampaignPool:
 
     def _adopt(self, job: CampaignJob, dataset: MeasurementDataset) -> None:
         """Feed a worker-produced preset dataset through the shared cache
-        path so in-process consumers (runner, analyses) reuse it."""
+        path so in-process consumers (runner, analyses) reuse it.
+
+        Only the memory cache: with ``use_disk`` the dataset was just
+        loaded from ``cache_dir / job.cache_filename()``, which for a
+        preset job is :func:`campaign_dataset`'s own disk entry.
+        """
         if job.preset_name is not None and job.label is None:
             campaign_dataset(
-                job.preset_name,
-                job.seed,
-                cache_dir=self.cache_dir,
-                use_disk=self.use_disk,
-                dataset=dataset,
+                job.preset_name, job.seed, cache_dir=self.cache_dir, dataset=dataset
             )
 
     def _report(self, state: "_SweepState", started: float) -> None:

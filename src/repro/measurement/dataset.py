@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import IO, Any, Iterable, Iterator, Optional
 
 from repro.errors import DatasetError
 from repro.measurement.logger import MeasurementLog
@@ -27,9 +28,14 @@ from repro.measurement.records import (
     ChainBlockRecord,
     ConnectionRecord,
     TxReceptionRecord,
-    record_from_json,
+    build_record,
     record_to_json,
 )
+
+#: Record lines decoded per ``json.loads`` call by
+#: :meth:`MeasurementDataset.load`: enough to amortise the call, few
+#: enough that the chunk's text and decoded objects stay small.
+_CHUNK_LINES = 1024
 
 
 @dataclass
@@ -179,6 +185,11 @@ class MeasurementDataset:
     def load(cls, path: str | Path) -> "MeasurementDataset":
         """Inverse of :meth:`save`.
 
+        Record lines are decoded :data:`_CHUNK_LINES` at a time, and a
+        value repeated across records (a vantage name, hash, miner or
+        peer id) is loaded as one object (see
+        :func:`~repro.measurement.records.build_record`).
+
         Raises:
             DatasetError: on a malformed file.
         """
@@ -191,21 +202,28 @@ class MeasurementDataset:
             if not header_line:
                 raise DatasetError(f"{path} is empty")
             header = json.loads(header_line)
-            if header.get("_type") != "Header":
+            if not isinstance(header, dict) or header.get("_type") != "Header":
                 raise DatasetError(f"{path} missing dataset header")
-            dataset.vantage_regions = dict(header["vantage_regions"])
+            vantage_regions = header["vantage_regions"]
+            duplicate_counts = header.get("tx_duplicate_counts", {})
+            if not isinstance(vantage_regions, dict) or not isinstance(
+                duplicate_counts, dict
+            ):
+                raise DatasetError(f"{path} has a malformed dataset header")
+            dataset.vantage_regions = dict(vantage_regions)
             dataset.default_peer_vantage = header.get("default_peer_vantage")
             dataset.reference_vantage = header.get("reference_vantage", "")
             dataset.measurement_start = float(header.get("measurement_start", 0.0))
             dataset.tx_duplicate_counts = {
-                k: int(v) for k, v in header.get("tx_duplicate_counts", {}).items()
+                k: int(v) for k, v in duplicate_counts.items()
             }
             dataset.chain.canonical_hashes = tuple(header.get("canonical_hashes", ()))
             dataset.chain.head_hash = header.get("head_hash", "")
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = record_from_json(json.loads(line))
+            shared: dict[Any, Any] = {}
+            for payload in _decoded_lines(fh, path):
+                if type(payload) is not dict:
+                    raise DatasetError(f"{path} has a record that is not an object")
+                record = build_record(payload, shared)
                 if isinstance(record, BlockMessageRecord):
                     dataset.block_messages.append(record)
                 elif isinstance(record, BlockImportRecord):
@@ -219,3 +237,19 @@ class MeasurementDataset:
                 else:  # pragma: no cover - registry keeps this unreachable
                     raise DatasetError(f"unknown record type {type(record)!r}")
         return dataset
+
+
+def _decoded_lines(fh: IO[str], path: Path) -> Iterator[Any]:
+    """The value of each remaining non-blank line of ``fh``, decoded
+    :data:`_CHUNK_LINES` lines per ``json.loads`` call.
+
+    Raises:
+        DatasetError: when a chunk does not decode to one value per line
+            (two values on one line, or one spread over several).
+    """
+    non_blank = (line for line in fh if line.strip())
+    while lines := list(islice(non_blank, _CHUNK_LINES)):
+        values = json.loads("[" + ",".join(lines) + "]")
+        if len(values) != len(lines):
+            raise DatasetError(f"{path} has a line that is not one JSON value")
+        yield from values

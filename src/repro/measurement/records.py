@@ -12,7 +12,7 @@ mirroring the paper's released data set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 
@@ -111,10 +111,13 @@ class ChainBlockRecord:
 
 
 _RECORD_TYPES: dict[str, type] = {}
+#: Field names of each record type, in declaration order.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def _register(cls: type) -> type:
     _RECORD_TYPES[cls.__name__] = cls
+    _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     return cls
 
 
@@ -146,11 +149,40 @@ def record_from_json(payload: Mapping[str, Any]) -> Any:
 
     Raises:
         KeyError: when the type tag is missing or unknown.
+        TypeError: when a field is missing or not one of the record's.
     """
-    data = dict(payload)
-    type_name = data.pop("_type")
-    cls = _RECORD_TYPES[type_name]
-    for field_name in ("tx_hashes", "uncle_hashes"):
-        if field_name in data and isinstance(data[field_name], list):
-            data[field_name] = tuple(data[field_name])
-    return cls(**data)
+    return build_record(dict(payload), {})
+
+
+def build_record(data: dict[str, Any], shared: dict[Any, Any]) -> Any:
+    """Build the record a decoded JSON object describes, consuming ``data``.
+
+    Each ``str`` or ``int`` value, and each hash in a hash list, becomes
+    the first equal value ``shared`` holds, or is recorded there, so a
+    value repeated across the records built with one ``shared`` table is
+    one object.  The type test is exact: ``1``, ``1.0`` and ``True``
+    hash equal, and a ``bool`` or ``float`` must keep its decoded type.
+
+    The record is built positionally when ``data`` lists the record's
+    fields in declaration order, as :func:`record_to_json` writes them,
+    and by keyword otherwise, so a missing or extra field still raises.
+
+    Raises:
+        KeyError: when the type tag is missing or unknown.
+        TypeError: when a field is missing or not one of the record's.
+    """
+    cls = _RECORD_TYPES[data.pop("_type")]
+    share = shared.setdefault
+    for name in ("tx_hashes", "uncle_hashes"):
+        hashes = data.get(name)
+        if isinstance(hashes, list):
+            data[name] = tuple(
+                [share(h, h) if type(h) is str or type(h) is int else h for h in hashes]
+            )
+    values = [
+        share(v, v) if type(v) is str or type(v) is int else v
+        for v in data.values()
+    ]
+    if tuple(data) == _FIELD_NAMES[cls]:
+        return cls(*values)
+    return cls(**dict(zip(data, values)))

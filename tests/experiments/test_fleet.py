@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.experiments.fleet import (
 from repro.experiments.presets import small_campaign
 from repro.geo.regions import Region
 from repro.measurement.campaign import Campaign
+from repro.measurement.dataset import MeasurementDataset
 
 
 @pytest.fixture(autouse=True)
@@ -398,3 +400,30 @@ def test_adopted_preset_datasets_land_in_the_memory_cache(tmp_path):
         "small", 33, cache_dir=tmp_path, use_disk=True
     )
     assert adopted is result.outcomes[0].dataset
+
+
+@pytest.mark.slow
+def test_sweeps_load_each_preset_dataset_once(tmp_path, monkeypatch):
+    """Adopting a preset job's dataset into the memory cache does not
+    read its file a second time: one load per job on the cold sweep
+    (the harvest) and one on the warm sweep (the cache hit)."""
+    loads: list[str] = []
+    load = MeasurementDataset.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(Path(path).name)
+        return load(cls, path)
+
+    monkeypatch.setattr(MeasurementDataset, "load", classmethod(counting_load))
+    seeds = (34, 35)
+    expected = sorted(cache.cache_key("small", seed) for seed in seeds)
+    pool = CampaignPool(jobs=2, cache_dir=tmp_path, use_disk=True)
+
+    cold = pool.run(seed_sweep_jobs("small", seeds))
+    cold.raise_on_failure()
+    assert sorted(loads) == expected
+
+    loads.clear()
+    warm = pool.run(seed_sweep_jobs("small", seeds))
+    assert warm.metrics.cache_hits == len(seeds)
+    assert sorted(loads) == expected
